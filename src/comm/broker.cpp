@@ -4,10 +4,10 @@
 #include <set>
 
 #include "common/clock.h"
-#include "common/crc32.h"
 #include "common/log.h"
 #include "common/thread_util.h"
 #include "obs/profiler.h"
+#include "serial/wire_format.h"
 
 namespace xt {
 namespace {
@@ -395,18 +395,23 @@ void Broker::route(MessageHeader header, std::uint32_t shard_index,
   inst_.route_ms.observe(route_clock.elapsed_ms());
 }
 
-bool Broker::deliver_remote(MessageHeader header, Payload body) {
+bool Broker::deliver_frame(const WireFrame& frame) {
+  const std::optional<std::vector<WireSubFrame>> subframes = decode_wire_frame(frame);
+  if (!subframes.has_value()) {
+    inst_.corrupted.inc();
+    for (std::size_t i = 0; i < frame.subframes(); ++i) {
+      note_drop(DropReason::kCrcFail);
+    }
+    return false;
+  }
+  for (const WireSubFrame& sub : *subframes) deliver_remote(sub.header, sub.body);
+  return true;
+}
+
+void Broker::deliver_remote(MessageHeader header, Payload body) {
   ProfScope prof("rehost");
   TraceScope rehost_span(trace_, "broker.rehost", "comm", header.trace_id(),
                          machine_, body->size());
-  // Integrity gate: a header that carries a CRC was stamped on the sending
-  // machine before the (possibly lossy) wire; a mismatch here means the
-  // frame was corrupted in transit and must not reach a workhorse.
-  if (header.crc_present && crc32(*body) != header.body_crc) {
-    inst_.corrupted.inc();
-    note_drop(DropReason::kCrcFail);
-    return false;
-  }
   // Count destinations that live here; the forwarding router already split
   // the message per machine, so remote dsts in the header are not ours.
   std::uint32_t local = 0;
@@ -415,7 +420,7 @@ bool Broker::deliver_remote(MessageHeader header, Payload body) {
   }
   if (local == 0) {
     note_drop(DropReason::kNoLocalDest);
-    return true;
+    return;
   }
   header.object_id = store_.put(std::move(body), local);
   inst_.rehosted.inc();
@@ -436,7 +441,6 @@ bool Broker::deliver_remote(MessageHeader header, Payload body) {
       push_inbox(*queue, header, routed_ns, nullptr);
     }
   }
-  return true;
 }
 
 void Broker::push_inbox(IdQueue& queue, const MessageHeader& header,
@@ -453,13 +457,6 @@ void Broker::push_inbox(IdQueue& queue, const MessageHeader& header,
       store_.release(header.object_id);
       note_drop(DropReason::kClosedDest, shard);
       break;
-  }
-}
-
-void Broker::reject_corrupt_frame(std::size_t subframes) {
-  inst_.corrupted.inc();
-  for (std::size_t i = 0; i < subframes; ++i) {
-    note_drop(DropReason::kCrcFail);
   }
 }
 

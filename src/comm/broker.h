@@ -21,6 +21,8 @@
 
 namespace xt {
 
+struct WireFrame;
+
 /// What the router puts into a destination's ID queue: the per-destination
 /// header copy plus the router's enqueue timestamp, which gives the
 /// destination-queue-wait hop of the message lifecycle (receiver pop time
@@ -38,7 +40,7 @@ struct RoutedHeader {
 using IdQueue = ClassedQueue<RoutedHeader>;
 
 /// Sink for messages leaving this machine; the network simulator implements
-/// it with a bandwidth-paced link whose far end calls deliver_remote() on
+/// it with a bandwidth-paced link whose far end calls deliver_frame() on
 /// the target machine's broker.
 using RemoteSink = std::function<void(MessageHeader, Payload)>;
 
@@ -139,21 +141,14 @@ class Broker {
   /// Install the forwarding sink toward another machine's broker.
   void set_remote_sink(std::uint16_t machine, RemoteSink sink);
 
-  /// Ingress path for messages arriving from another machine: verifies the
-  /// body CRC when the header carries one, re-hosts the body in the local
-  /// object store, and fans the header out to local ID queues. Local
-  /// workhorses never perceive the difference (Section 3.2.1).
-  /// Returns false only on an integrity reject (CRC mismatch) — the signal
-  /// a reliable link uses to withhold its ack so the sender retransmits.
+  /// Ingress path for a wire frame arriving from another machine. A frame
+  /// that fails its chained CRC (or does not decode) is rejected whole: one
+  /// corrupted-frame tick and one CRC-fail drop per sub-frame it carried,
+  /// none of which is delivered. Returns false only then — the signal a
+  /// reliable link uses to withhold its ack so the sender retransmits.
   /// Routing drops (no local destination, closed queue) still return true:
   /// the frame arrived intact, retransmitting it cannot help.
-  bool deliver_remote(MessageHeader header, Payload body);
-
-  /// Ingress accounting for a corrupted *wire frame*: the whole frame failed
-  /// its chained CRC, so every sub-frame it carried is rejected exactly once
-  /// — one corrupted-frame tick, one CRC-fail drop per sub-frame. The caller
-  /// (fabric or reliable channel) never delivers any of its messages.
-  void reject_corrupt_frame(std::size_t subframes);
+  bool deliver_frame(const WireFrame& frame);
 
   /// Stop the router threads (idempotent). In-flight headers are drained.
   void stop();
@@ -229,6 +224,10 @@ class Broker {
   void route(MessageHeader header, std::uint32_t shard_index,
              RouterShard& shard);
   void publish_total_depth();
+  /// Re-hosts one message from another machine in the local object store
+  /// and fans its header out to local ID queues. Local workhorses never
+  /// perceive the difference (Section 3.2.1).
+  void deliver_remote(MessageHeader header, Payload body);
   /// Store references shard `shard` will consume for `header` — the share of
   /// expected_fetches() that submit() routed to it. Used by the shard shed
   /// callback to release exactly the references the shed header owned.

@@ -100,15 +100,6 @@ struct MessageHeader {
   std::uint8_t codec_id = 0;
   std::uint32_t base_tag = 0;
 
-  /// Wire integrity: CRC-32 of the body, stamped by the sending fabric when
-  /// the link has fault injection enabled (or reliability on) and verified
-  /// by Broker::deliver_remote on the receiving machine. Local (same-broker)
-  /// traffic never pays for it — shared memory cannot corrupt in this model.
-  std::uint32_t body_crc = 0;
-  bool crc_present = false;
-  /// Per-link sequence number assigned by the reliable channel (0 = none).
-  std::uint64_t link_seq = 0;
-
   /// Trace id stitching this message's lifecycle spans together across hops
   /// and machines. Deliberately aliased to the process-unique msg_id so
   /// enabling tracing adds zero bytes to the header (and zero copy cost per

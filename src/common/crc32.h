@@ -9,9 +9,10 @@ namespace xt {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span.
 /// Used as the wire-integrity check on cross-machine frames: the sending
-/// link stamps the body's CRC into the message header and the receiving
-/// broker recomputes it at deliver_remote, so injected corruption is
-/// detected and the frame dropped instead of poisoning a workhorse.
+/// link stamps a chained CRC over the frame's segments (wire_frame_crc) and
+/// the receiving broker's deliver_frame recomputes it, so injected
+/// corruption is detected and the frame dropped instead of poisoning a
+/// workhorse.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                                   std::uint32_t seed = 0);
 

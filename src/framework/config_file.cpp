@@ -1,11 +1,356 @@
 #include "framework/config_file.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 namespace xt {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Destination-type maxima: an unsigned key accepts nothing its field cannot hold.
+constexpr std::uint64_t kU16Max = std::numeric_limits<std::uint16_t>::max();
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::uint64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kSizeMax = std::numeric_limits<std::size_t>::max();
+
+/// The value kinds every key is one of. Each has one parser that range-checks
+/// the text against its row's bounds and one renderer for the accepted values.
+enum class Kind {
+  kUnsigned,  ///< decimal digits only, within [min, max]
+  kDouble,    ///< finite number within `range`
+  kBool,      ///< on | off | true | false | 1 | 0
+  kEnum,      ///< one of `choices`
+  kList,      ///< comma-separated unsigned values, each within [min, max]
+  kString,    ///< any text (paths, names)
+  kThreads,   ///< auto, or a signed count within [-1, max]
+};
+
+/// A parsed, range-checked value; the member that is set depends on the kind.
+struct Value {
+  std::uint64_t u = 0;              ///< kUnsigned; kBool (0/1); kEnum (index)
+  double d = 0.0;                   ///< kDouble
+  std::int64_t i = 0;               ///< kThreads
+  std::vector<std::uint64_t> list;  ///< kList
+  std::string text;                 ///< kString
+};
+
+/// Accepted interval of a double key; each end is inclusive unless open.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+};
+constexpr Range kFinite{};
+constexpr Range kNonNegative{0.0};
+constexpr Range kPositive{0.0, kInf, true};
+constexpr Range kUnit{0.0, 1.0};
+// For float fields, whose range ends well before a double's.
+constexpr double kFloatMax = std::numeric_limits<float>::max();
+constexpr Range kPositiveFloat{0.0, kFloatMax, true};
+
+using Setter = void (*)(LaunchConfig&, const Value&);
+
+/// One row of the key table: where the key lives, how its value is parsed
+/// and bounded, which fields it sets, and what it means.
+struct Key {
+  std::string section;
+  std::string name;
+  Kind kind = Kind::kString;
+  std::string doc;
+  Setter set = nullptr;
+  std::uint64_t min = 0;  ///< kUnsigned, kList elements: inclusive bounds
+  std::uint64_t max = 0;  ///< ... and the kThreads maximum
+  Range range{};                       ///< kDouble
+  std::vector<std::string> choices{};  ///< kEnum, in the setter's index order
+  std::string note{};                  ///< appended to the accepted values
+  std::string label{};                 ///< error-text name, if not `name`
+};
+
+// Row builders, one per kind (`whole` = unsigned integer).
+Key whole(const char* section, const char* name, std::uint64_t min,
+          std::uint64_t max, const char* doc, Setter set, const char* note = "") {
+  return {.section = section, .name = name, .kind = Kind::kUnsigned, .doc = doc,
+          .set = set, .min = min, .max = max, .note = note};
+}
+Key real(const char* section, const char* name, Range range, const char* doc,
+         Setter set, const char* note = "") {
+  return {.section = section, .name = name, .kind = Kind::kDouble, .doc = doc,
+          .set = set, .range = range, .note = note};
+}
+Key flag(const char* section, const char* name, const char* doc, Setter set) {
+  return {.section = section, .name = name, .kind = Kind::kBool, .doc = doc,
+          .set = set};
+}
+Key list(const char* section, const char* name, std::uint64_t min,
+         std::uint64_t max, const char* doc, Setter set) {
+  return {.section = section, .name = name, .kind = Kind::kList, .doc = doc,
+          .set = set, .min = min, .max = max};
+}
+Key text(const char* section, const char* name, const char* doc, Setter set) {
+  return {.section = section, .name = name, .kind = Kind::kString, .doc = doc,
+          .set = set};
+}
+Key choice(const char* section, const char* name, std::vector<std::string> choices,
+           const char* doc, Setter set, const char* label = "") {
+  return {.section = section, .name = name, .kind = Kind::kEnum, .doc = doc,
+          .set = set, .choices = std::move(choices), .label = label};
+}
+
+std::vector<std::string> codec_names() {
+  std::vector<std::string> names;
+  for (std::uint8_t i = 0; i < kWeightCodecCount; ++i) {
+    names.emplace_back(weight_codec_name(static_cast<WeightCodec>(i)));
+  }
+  return names;
+}
+
+const std::vector<Key>& key_table() {
+  // Setters see the config as `c` and the checked value as `v`; the bounds
+  // keep every narrowing assignment below within its field's range.
+  static const std::vector<Key> table = {
+      // [algorithm]. Shared hyperparameters set every algorithm's copy, so
+      // they survive a change of `kind`.
+      choice("algorithm", "kind", {"impala", "dqn", "ppo", "a2c"}, "algorithm to train",
+             [](auto& c, auto& v) {
+               constexpr AlgoKind kinds[] = {AlgoKind::kImpala, AlgoKind::kDqn,
+                                             AlgoKind::kPpo, AlgoKind::kA2c};
+               c.setup.kind = kinds[v.u];
+             }),
+      text("algorithm", "env", "environment name",
+           [](auto& c, auto& v) { c.setup.env_name = v.text; }),
+      whole("algorithm", "seed", 0, kU64Max, "run seed",
+            [](auto& c, auto& v) { c.setup.seed = v.u; }),
+      real("algorithm", "lr", kPositiveFloat, "learning rate", [](auto& c, auto& v) {
+        c.setup.dqn.lr = c.setup.ppo.lr = c.setup.impala.lr = v.d;
+      }),
+      real("algorithm", "gamma", kUnit, "discount factor", [](auto& c, auto& v) {
+        c.setup.dqn.gamma = c.setup.ppo.gamma = c.setup.impala.gamma = v.d;
+      }),
+      list("algorithm", "hidden", 1, kSizeMax, "hidden layer widths",
+           [](auto& c, auto& v) {
+             c.setup.dqn.hidden = c.setup.ppo.hidden = c.setup.impala.hidden = {
+                 v.list.begin(), v.list.end()};
+           }),
+      whole("algorithm", "fragment_len", 1, kSizeMax, "env steps per rollout message",
+            [](auto& c, auto& v) {
+              c.setup.ppo.fragment_len = c.setup.impala.fragment_len = v.u;
+            }),
+      whole("algorithm", "frame_bytes_per_step", 0, kSizeMax,
+            "extra observation bytes per step", [](auto& c, auto& v) {
+              c.setup.dqn.frame_bytes_per_step = c.setup.ppo.frame_bytes_per_step =
+                  c.setup.impala.frame_bytes_per_step = v.u;
+            }),
+      whole("algorithm", "replay_capacity", 1, kSizeMax, "DQN replay buffer size",
+            [](auto& c, auto& v) { c.setup.dqn.replay_capacity = v.u; }),
+      whole("algorithm", "train_start", 0, kSizeMax, "DQN steps buffered first",
+            [](auto& c, auto& v) { c.setup.dqn.train_start = v.u; }),
+      whole("algorithm", "batch_size", 1, kSizeMax, "DQN minibatch size",
+            [](auto& c, auto& v) { c.setup.dqn.batch_size = v.u; }),
+      flag("algorithm", "double_dqn", "double-DQN targets",
+           [](auto& c, auto& v) { c.setup.dqn.double_dqn = v.u; }),
+      flag("algorithm", "prioritized_replay", "prioritized DQN replay",
+           [](auto& c, auto& v) { c.setup.dqn.prioritized = v.u; }),
+      whole("algorithm", "epochs", 1, kIntMax, "PPO epochs per batch",
+            [](auto& c, auto& v) { c.setup.ppo.epochs = v.u; }),
+      real("algorithm", "clip", kPositiveFloat, "PPO ratio clip",
+           [](auto& c, auto& v) { c.setup.ppo.clip = v.d; }),
+      real("algorithm", "entropy_coef", {0.0, kFloatMax}, "entropy bonus (PPO, IMPALA)",
+           [](auto& c, auto& v) {
+             c.setup.ppo.entropy_coef = c.setup.impala.entropy_coef = v.d;
+           }),
+
+      // [deployment]: machines, placement, run goal, links and telemetry.
+      list("deployment", "explorers_per_machine", 0, kU16Max + 1,
+           "explorers on each machine; the list length is the machine count",
+           [](auto& c, auto& v) {
+             c.deployment.explorers_per_machine = {v.list.begin(), v.list.end()};
+           }),
+      whole("deployment", "learner_machine", 0, kU16Max, "machine hosting the learner",
+            [](auto& c, auto& v) { c.deployment.learner_machine = v.u; }),
+      whole("deployment", "max_steps", 0, kU64Max, "step goal (0 = unlimited)",
+            [](auto& c, auto& v) { c.deployment.max_steps_consumed = v.u; }),
+      real("deployment", "max_seconds", kNonNegative, "time limit (0 = unlimited)",
+           [](auto& c, auto& v) { c.deployment.max_seconds = v.d; }),
+      real("deployment", "target_return", kFinite, "return goal (0 = disabled)",
+           [](auto& c, auto& v) { c.deployment.target_return = v.d; }),
+      whole("deployment", "target_return_window", 1, kIntMax,
+            "episodes averaged for the return goal",
+            [](auto& c, auto& v) { c.deployment.target_return_window = v.u; }),
+      real("deployment", "nic_bandwidth_mbps", kPositive, "cross-machine link, MB/s",
+           [](auto& c, auto& v) {
+             c.deployment.link.bandwidth_bytes_per_sec = v.d * 1e6;
+           }),
+      real("deployment", "ipc_bandwidth_mbps", kNonNegative,
+           "same-machine IPC, MB/s (0 = unpaced)", [](auto& c, auto& v) {
+             c.deployment.broker.ipc_bandwidth_bytes_per_sec = v.d * 1e6;
+           }),
+      flag("deployment", "compression", "LZ4-compress large bodies",
+           [](auto& c, auto& v) { c.deployment.broker.compression.enabled = v.u; }),
+      whole("deployment", "compression_threshold_kb", 0, kSizeMax / 1024,
+            "smallest compressed body, KiB", [](auto& c, auto& v) {
+              c.deployment.broker.compression.threshold_bytes = v.u * 1024;
+            }),
+      whole("deployment", "explorer_send_capacity", 0, kSizeMax,
+            "explorer send buffer bound (0 = unbounded)",
+            [](auto& c, auto& v) { c.deployment.explorer_send_capacity = v.u; }),
+      text("deployment", "stats_csv", "statistics records, as CSV",
+           [](auto& c, auto& v) { c.deployment.stats_csv_path = v.text; }),
+      flag("deployment", "tracing", "record message-lifecycle spans",
+           [](auto& c, auto& v) { c.deployment.obs.tracing = v.u; }),
+      whole("deployment", "trace_capacity", 1, kSizeMax, "span ring size",
+            [](auto& c, auto& v) { c.deployment.obs.trace_capacity = v.u; }),
+      text("deployment", "chrome_trace", "Chrome trace written at end of run",
+           [](auto& c, auto& v) { c.deployment.obs.chrome_trace_path = v.text; }),
+      text("deployment", "prometheus_dump", "final metrics, Prometheus text",
+           [](auto& c, auto& v) { c.deployment.obs.prometheus_path = v.text; }),
+      real("deployment", "stats_line_every_s", kNonNegative,
+           "periodic stats line, seconds (0 = off)",
+           [](auto& c, auto& v) { c.deployment.obs.stats_line_every_s = v.d; }),
+
+      // [faults]: the chaos fabric, reliable links and supervision.
+      whole("faults", "seed", 0, kU64Max, "fault schedule seed",
+            [](auto& c, auto& v) { c.deployment.link.faults.seed = v.u; }),
+      real("faults", "drop_prob", kUnit, "per-frame drop probability",
+           [](auto& c, auto& v) { c.deployment.link.faults.drop_probability = v.d; }),
+      real("faults", "corrupt_prob", kUnit, "per-frame byte-flip probability",
+           [](auto& c, auto& v) {
+             c.deployment.link.faults.corrupt_probability = v.d;
+           }),
+      real("faults", "delay_prob", kUnit, "per-frame latency-spike probability",
+           [](auto& c, auto& v) { c.deployment.link.faults.delay_probability = v.d; }),
+      real("faults", "delay_ms", {0.0, 3'600'000.0}, "latency-spike size",
+           [](auto& c, auto& v) { c.deployment.link.faults.delay_ns = v.d * 1e6; }),
+      real("faults", "blackout_start_s", kNonNegative, "first outage start",
+           [](auto& c, auto& v) { c.deployment.link.faults.blackout_start_s = v.d; }),
+      real("faults", "blackout_duration_s", kNonNegative, "outage length",
+           [](auto& c, auto& v) {
+             c.deployment.link.faults.blackout_duration_s = v.d;
+           }),
+      real("faults", "blackout_every_s", kNonNegative, "outage period (0 = once)",
+           [](auto& c, auto& v) { c.deployment.link.faults.blackout_every_s = v.d; }),
+      flag("faults", "reliable", "ack/retransmit on cross-machine links",
+           [](auto& c, auto& v) { c.deployment.reliability.enabled = v.u; }),
+      real("faults", "retransmit_timeout_ms", kPositive, "initial retransmit timeout",
+           [](auto& c, auto& v) { c.deployment.reliability.rto_ms = v.d; }),
+      real("faults", "retransmit_backoff", {1.0}, "timeout multiplier per retry",
+           [](auto& c, auto& v) { c.deployment.reliability.backoff = v.d; }),
+      real("faults", "retransmit_max_ms", kPositive, "retransmit timeout cap",
+           [](auto& c, auto& v) { c.deployment.reliability.max_rto_ms = v.d; }),
+      whole("faults", "retransmit_max_retries", 0, kU32Max, "retries before giving up",
+            [](auto& c, auto& v) { c.deployment.reliability.max_retries = v.u; }),
+      flag("faults", "supervision", "heartbeats and worker respawn",
+           [](auto& c, auto& v) { c.deployment.supervision.enabled = v.u; }),
+      real("faults", "heartbeat_every_s", kPositive, "heartbeat interval",
+           [](auto& c, auto& v) { c.deployment.supervision.heartbeat_every_s = v.d; }),
+      real("faults", "heartbeat_timeout_s", kPositive, "silence before suspicion",
+           [](auto& c, auto& v) {
+             c.deployment.supervision.heartbeat_timeout_s = v.d;
+           }),
+      whole("faults", "max_worker_restarts", 0, kU32Max, "respawns per worker",
+            [](auto& c, auto& v) {
+              c.deployment.supervision.max_restarts_per_worker = v.u;
+            }),
+      real("faults", "suspect_grace_s", kNonNegative, "grace before killing a suspect",
+           [](auto& c, auto& v) { c.deployment.supervision.suspect_grace_s = v.d; }),
+      real("faults", "respawn_min_interval_s", kNonNegative, "respawn rate limit",
+           [](auto& c, auto& v) {
+             c.deployment.supervision.respawn_min_interval_s = v.d;
+           }),
+      text("faults", "checkpoint", "learner checkpoint, restored on respawn",
+           [](auto& c, auto& v) { c.deployment.checkpoint_path = v.text; }),
+      whole("faults", "checkpoint_every_versions", 0, kU32Max,
+            "weight versions between checkpoints",
+            [](auto& c, auto& v) { c.deployment.checkpoint_every_versions = v.u; }),
+
+      // [comm]: router sharding, control-frame coalescing, overload policy.
+      whole("comm", "router_shards", 1, 64, "destination-hashed router threads",
+            [](auto& c, auto& v) { c.deployment.broker.router_shards = v.u; }),
+      flag("comm", "coalescing", "batch small control frames per link",
+           [](auto& c, auto& v) { c.deployment.coalesce.enabled = v.u; }),
+      whole("comm", "coalesce_max_bytes", 1, kSizeMax, "largest coalesced body",
+            [](auto& c, auto& v) { c.deployment.coalesce.max_subframe_bytes = v.u; }),
+      whole("comm", "coalesce_flush_bytes", 1, kSizeMax, "flush at this many bytes",
+            [](auto& c, auto& v) { c.deployment.coalesce.flush_bytes = v.u; }),
+      whole("comm", "coalesce_max_subframes", 1, kSizeMax, "flush at this many frames",
+            [](auto& c, auto& v) { c.deployment.coalesce.max_subframes = v.u; }),
+      whole("comm", "coalesce_flush_us", 1, kI64Max, "flush at this frame age",
+            [](auto& c, auto& v) { c.deployment.coalesce.flush_us = v.u; }),
+      whole("comm", "overload_high_watermark", 0, 100'000'000, "comm queue bound",
+            [](auto& c, auto& v) { c.deployment.overload.high_watermark = v.u; },
+            "0 disables bounding"),
+      whole("comm", "overload_low_watermark", 0, 100'000'000, "gated sends resume",
+            [](auto& c, auto& v) { c.deployment.overload.low_watermark = v.u; },
+            "0 means high/2"),
+      choice("comm", "shed_policy", {"oldest", "newest"}, "what a full queue sheds",
+             [](auto& c, auto& v) {
+               c.deployment.overload.shed_policy = static_cast<ShedPolicy>(v.u);
+             }),
+      whole("comm", "weights_block_ms", 0, 60'000, "weights backpressure budget",
+            [](auto& c, auto& v) { c.deployment.overload.weights_block_ms = v.u; }),
+      whole("comm", "breaker_failures", 0, 1024, "link breaker trip threshold",
+            [](auto& c, auto& v) { c.deployment.overload.breaker_failures = v.u; },
+            "0 disables the breaker"),
+      whole("comm", "breaker_probe_ms", 1, 60'000, "half-open probe interval",
+            [](auto& c, auto& v) { c.deployment.overload.breaker_probe_ms = v.u; }),
+
+      // [profile]: sampling profiler and saturation gauges.
+      flag("profile", "enabled", "sampling profiler and saturation gauges",
+           [](auto& c, auto& v) { c.deployment.profile.enabled = v.u; }),
+      real("profile", "hz", kPositive, "scope-stack sampling frequency",
+           [](auto& c, auto& v) { c.deployment.profile.hz = v.d; }),
+      real("profile", "saturation_hz", kPositive, "saturation gauge refresh",
+           [](auto& c, auto& v) { c.deployment.profile.saturation_hz = v.d; }),
+      text("profile", "profile_json", "bottleneck report written at end of run",
+           [](auto& c, auto& v) { c.deployment.profile.profile_json_path = v.text; }),
+
+      // [codec]: weight broadcast codec and lazy broadcast.
+      choice("codec", "weights", codec_names(), "weight broadcast codec",
+             [](auto& c, auto& v) {
+               c.deployment.weight_sync.codec = static_cast<WeightCodec>(v.u);
+             },
+             "weights codec"),
+      real("codec", "topk_fraction", {0.0, 0.5, true}, "entries a topk frame carries",
+           [](auto& c, auto& v) { c.deployment.weight_sync.topk_fraction = v.d; }),
+      whole("codec", "keyframe_every", 1, 100'000, "Nth delta/topk frame is a keyframe",
+            [](auto& c, auto& v) { c.deployment.weight_sync.keyframe_every = v.u; }),
+      real("codec", "lazy_threshold", {0.0, 1.0, false, true},
+           "relative update norm below which a publish is skipped",
+           [](auto& c, auto& v) { c.deployment.weight_sync.lazy_threshold = v.d; },
+           "0 disables lazy broadcast"),
+      whole("codec", "max_staleness", 1, 100'000, "max consecutive lazy skips",
+            [](auto& c, auto& v) { c.deployment.weight_sync.max_staleness = v.u; }),
+
+      // [compute]: the NN kernel pool.
+      {.section = "compute",
+       .name = "threads",
+       .kind = Kind::kThreads,
+       .doc = "kernel threads: auto or -1 (hardware), 0 (serial, bit-exact), or N",
+       .set = [](auto& c, auto& v) { c.deployment.compute_threads = v.i; },
+       .max = 4096},
+  };
+  return table;
+}
+
+const Key* find_key(const std::string& section, const std::string& name) {
+  for (const Key& key : key_table()) {
+    if (key.section == section && key.name == name) return &key;
+  }
+  return nullptr;
+}
+
+bool known_section(const std::string& section) {
+  for (const Key& key : key_table()) {
+    if (key.section == section) return true;
+  }
+  return false;
+}
 
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r");
@@ -14,42 +359,154 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-bool parse_double(const std::string& value, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value.c_str(), &end);
-  return end != value.c_str() && *end == '\0';
+/// Parses the whole of `s` as T: no sign for unsigned T, no whitespace, no
+/// overflow (from_chars reports out-of-range instead of wrapping).
+template <typename T>
+bool parse_number(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
-bool parse_u64(const std::string& value, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(value.c_str(), &end, 10);
-  return end != value.c_str() && *end == '\0';
+bool parse_bounded(const Key& key, const std::string& s, std::uint64_t* out) {
+  return parse_number(s, out) && *out >= key.min && *out <= key.max;
 }
 
-bool parse_bool(const std::string& value, bool* out) {
-  if (value == "on" || value == "true" || value == "1") {
-    *out = true;
-    return true;
-  }
-  if (value == "off" || value == "false" || value == "0") {
-    *out = false;
-    return true;
+bool in_range(const Range& r, double d) {
+  return std::isfinite(d) && (r.lo_open ? d > r.lo : d >= r.lo) &&
+         (r.hi_open ? d < r.hi : d <= r.hi);
+}
+
+/// Parses and range-checks `s` as `key`'s kind into `out`.
+bool parse_value(const Key& key, const std::string& s, Value* out) {
+  switch (key.kind) {
+    case Kind::kUnsigned:
+      return parse_bounded(key, s, &out->u);
+    case Kind::kDouble:
+      return parse_number(s, &out->d) && in_range(key.range, out->d);
+    case Kind::kBool:
+      out->u = s == "on" || s == "true" || s == "1";
+      return out->u || s == "off" || s == "false" || s == "0";
+    case Kind::kEnum:
+      for (out->u = 0; out->u < key.choices.size(); ++out->u) {
+        if (s == key.choices[out->u]) return true;
+      }
+      return false;
+    case Kind::kList: {
+      std::stringstream ss(s);
+      std::string item;
+      while (std::getline(ss, item, ',')) {
+        std::uint64_t element = 0;
+        if (!parse_bounded(key, trim(item), &element)) return false;
+        out->list.push_back(element);
+      }
+      return !out->list.empty();
+    }
+    case Kind::kString:
+      out->text = s;
+      return true;
+    case Kind::kThreads:
+      if (s == "auto") {
+        out->i = -1;
+        return true;
+      }
+      return parse_number(s, &out->i) && out->i >= -1 &&
+             out->i <= static_cast<std::int64_t>(key.max);
   }
   return false;
 }
 
-template <typename T>
-bool parse_list(const std::string& value, std::vector<T>* out) {
-  out->clear();
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    std::uint64_t v;
-    if (!parse_u64(item, &v)) return false;
-    out->push_back(static_cast<T>(v));
+std::string number_text(double d) {
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), d);
+  return std::string(buffer, result.ptr);
+}
+
+std::string unsigned_range_text(const Key& key) {
+  if (key.max == kU64Max) {
+    return key.min == 0 ? "an unsigned integer" : ">=" + std::to_string(key.min);
   }
-  return !out->empty();
+  return std::to_string(key.min) + ".." + std::to_string(key.max);
+}
+
+std::string range_text(const Range& r) {
+  const std::string lo = number_text(r.lo);
+  const std::string hi = number_text(r.hi);
+  if (r.lo == -kInf && r.hi == kInf) return "a finite number";
+  if (r.hi == kInf) return (r.lo_open ? ">" : ">=") + lo;
+  if (r.lo_open) return ">" + lo + " and " + (r.hi_open ? "<" : "<=") + hi;
+  return lo + ".." + hi + (r.hi_open ? " exclusive of " + hi : "");
+}
+
+/// What `key` accepts, as the error message states it.
+std::string accepted_text(const Key& key) {
+  switch (key.kind) {
+    case Kind::kUnsigned:
+      return unsigned_range_text(key);
+    case Kind::kDouble:
+      return range_text(key.range);
+    case Kind::kBool:
+      return "on or off";
+    case Kind::kEnum: {
+      const std::size_t n = key.choices.size();
+      std::string out;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i > 0) out += n == 2 ? " " : ", ";
+        if (i > 0 && i + 1 == n) out += "or ";
+        out += key.choices[i];
+      }
+      return out;
+    }
+    case Kind::kList:
+      return "a comma-separated list, each " + unsigned_range_text(key);
+    case Kind::kString:
+      return "any text";
+    case Kind::kThreads:
+      return "auto, -1, 0, or a count up to " + std::to_string(key.max);
+  }
+  return "";
+}
+
+/// `bad <key> (want <accepted>[; <note>])`, with the rejected text quoted for
+/// enum keys, whose valid spellings are a short list.
+std::string bad_value_message(const Key& key, const std::string& value) {
+  std::string message = "bad " + (key.label.empty() ? key.name : key.label);
+  if (key.kind == Kind::kEnum) message += " '" + value + "'";
+  message += " (want " + accepted_text(key);
+  if (!key.note.empty()) message += "; " + key.note;
+  return message + ")";
+}
+
+/// Checks that need every key in place, so key order in the file does not
+/// matter. Returns an error message, or "" when the config is consistent.
+std::string cross_check(const DeploymentConfig& deployment) {
+  // A low watermark without a high one gates nothing, and the hysteresis band
+  // needs low < high.
+  const OverloadConfig& overload = deployment.overload;
+  if (overload.low_watermark > 0 && overload.high_watermark == 0) {
+    return "[comm] overload_low_watermark requires overload_high_watermark";
+  }
+  if (overload.low_watermark > 0 && overload.low_watermark >= overload.high_watermark) {
+    return "[comm] overload_low_watermark must be below overload_high_watermark";
+  }
+  // Machines and explorers are addressed by 16-bit ids (comm/node_id.h).
+  const std::size_t machines = deployment.explorers_per_machine.size();
+  if (machines > kU16Max + 1) {
+    return "[deployment] explorers_per_machine lists more than 65536 machines";
+  }
+  if (deployment.learner_machine >= machines) {
+    return "[deployment] learner_machine " +
+           std::to_string(deployment.learner_machine) +
+           " must be below the machine count (" + std::to_string(machines) +
+           " in explorers_per_machine)";
+  }
+  std::uint64_t explorers = 0;  // summed wide: the int total could overflow
+  for (int n : deployment.explorers_per_machine) explorers += n;
+  if (explorers < 1 || explorers > kIntMax) {
+    return "[deployment] explorers_per_machine must total 1.." +
+           std::to_string(kIntMax);
+  }
+  return "";
 }
 
 bool fail(std::string* error, int line, const std::string& message) {
@@ -59,532 +516,15 @@ bool fail(std::string* error, int line, const std::string& message) {
   return false;
 }
 
-bool apply_algorithm_key(LaunchConfig& config, const std::string& key,
-                         const std::string& value, int line, std::string* error) {
-  AlgoSetup& setup = config.setup;
-  double d = 0.0;
-  std::uint64_t u = 0;
-  if (key == "kind") {
-    if (value == "impala") {
-      setup.kind = AlgoKind::kImpala;
-    } else if (value == "dqn") {
-      setup.kind = AlgoKind::kDqn;
-    } else if (value == "ppo") {
-      setup.kind = AlgoKind::kPpo;
-    } else if (value == "a2c") {
-      setup.kind = AlgoKind::kA2c;
-    } else {
-      return fail(error, line, "unknown algorithm kind '" + value + "'");
-    }
-    return true;
-  }
-  if (key == "env") {
-    setup.env_name = value;
-    return true;
-  }
-  if (key == "seed") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad seed");
-    setup.seed = u;
-    return true;
-  }
-  if (key == "lr") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad lr");
-    setup.dqn.lr = setup.ppo.lr = setup.impala.lr = static_cast<float>(d);
-    return true;
-  }
-  if (key == "gamma") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad gamma");
-    setup.dqn.gamma = setup.ppo.gamma = setup.impala.gamma = static_cast<float>(d);
-    return true;
-  }
-  if (key == "hidden") {
-    std::vector<std::size_t> widths;
-    if (!parse_list(value, &widths)) return fail(error, line, "bad hidden list");
-    setup.dqn.hidden = setup.ppo.hidden = setup.impala.hidden = widths;
-    return true;
-  }
-  if (key == "fragment_len") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad fragment_len");
-    setup.ppo.fragment_len = setup.impala.fragment_len = u;
-    return true;
-  }
-  if (key == "frame_bytes_per_step") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad frame_bytes_per_step");
-    setup.dqn.frame_bytes_per_step = setup.ppo.frame_bytes_per_step =
-        setup.impala.frame_bytes_per_step = u;
-    return true;
-  }
-  if (key == "replay_capacity") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad replay_capacity");
-    setup.dqn.replay_capacity = u;
-    return true;
-  }
-  if (key == "train_start") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad train_start");
-    setup.dqn.train_start = u;
-    return true;
-  }
-  if (key == "batch_size") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad batch_size");
-    setup.dqn.batch_size = u;
-    return true;
-  }
-  if (key == "double_dqn") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return fail(error, line, "bad double_dqn");
-    setup.dqn.double_dqn = b;
-    return true;
-  }
-  if (key == "prioritized_replay") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return fail(error, line, "bad prioritized_replay");
-    setup.dqn.prioritized = b;
-    return true;
-  }
-  if (key == "epochs") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad epochs");
-    setup.ppo.epochs = static_cast<int>(u);
-    return true;
-  }
-  if (key == "clip") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad clip");
-    setup.ppo.clip = static_cast<float>(d);
-    return true;
-  }
-  if (key == "entropy_coef") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad entropy_coef");
-    setup.ppo.entropy_coef = setup.impala.entropy_coef = static_cast<float>(d);
-    return true;
-  }
-  return fail(error, line, "unknown [algorithm] key '" + key + "'");
-}
-
-bool apply_deployment_key(LaunchConfig& config, const std::string& key,
-                          const std::string& value, int line, std::string* error) {
-  DeploymentConfig& deployment = config.deployment;
-  double d = 0.0;
-  std::uint64_t u = 0;
-  if (key == "explorers_per_machine") {
-    std::vector<int> counts;
-    if (!parse_list(value, &counts)) {
-      return fail(error, line, "bad explorers_per_machine list");
-    }
-    deployment.explorers_per_machine = counts;
-    return true;
-  }
-  if (key == "learner_machine") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad learner_machine");
-    deployment.learner_machine = static_cast<std::uint16_t>(u);
-    return true;
-  }
-  if (key == "max_steps") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad max_steps");
-    deployment.max_steps_consumed = u;
-    return true;
-  }
-  if (key == "max_seconds") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad max_seconds");
-    deployment.max_seconds = d;
-    return true;
-  }
-  if (key == "target_return") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad target_return");
-    deployment.target_return = d;
-    return true;
-  }
-  if (key == "target_return_window") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad target_return_window");
-    deployment.target_return_window = static_cast<int>(u);
-    return true;
-  }
-  if (key == "nic_bandwidth_mbps") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad nic_bandwidth_mbps");
-    deployment.link.bandwidth_bytes_per_sec = d * 1e6;
-    return true;
-  }
-  if (key == "ipc_bandwidth_mbps") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad ipc_bandwidth_mbps");
-    deployment.broker.ipc_bandwidth_bytes_per_sec = d * 1e6;
-    return true;
-  }
-  if (key == "compression") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return fail(error, line, "bad compression");
-    deployment.broker.compression.enabled = b;
-    return true;
-  }
-  if (key == "compression_threshold_kb") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad compression_threshold_kb");
-    deployment.broker.compression.threshold_bytes = u * 1024;
-    return true;
-  }
-  if (key == "explorer_send_capacity") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad explorer_send_capacity");
-    deployment.explorer_send_capacity = u;
-    return true;
-  }
-  if (key == "stats_csv") {
-    deployment.stats_csv_path = value;
-    return true;
-  }
-  if (key == "tracing") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return fail(error, line, "bad tracing");
-    deployment.obs.tracing = b;
-    return true;
-  }
-  if (key == "trace_capacity") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad trace_capacity");
-    if (u == 0) return fail(error, line, "bad trace_capacity");
-    deployment.obs.trace_capacity = u;
-    return true;
-  }
-  if (key == "chrome_trace") {
-    deployment.obs.chrome_trace_path = value;
-    return true;
-  }
-  if (key == "prometheus_dump") {
-    deployment.obs.prometheus_path = value;
-    return true;
-  }
-  if (key == "stats_line_every_s") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad stats_line_every_s");
-    deployment.obs.stats_line_every_s = d;
-    return true;
-  }
-  return fail(error, line, "unknown [deployment] key '" + key + "'");
-}
-
-bool apply_faults_key(LaunchConfig& config, const std::string& key,
-                      const std::string& value, int line, std::string* error) {
-  DeploymentConfig& deployment = config.deployment;
-  FaultPlan& faults = deployment.link.faults;
-  double d = 0.0;
-  std::uint64_t u = 0;
-  bool b = false;
-  if (key == "seed") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad seed");
-    faults.seed = u;
-    return true;
-  }
-  if (key == "drop_prob") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad drop_prob");
-    faults.drop_probability = d;
-    return true;
-  }
-  if (key == "corrupt_prob") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad corrupt_prob");
-    faults.corrupt_probability = d;
-    return true;
-  }
-  if (key == "delay_prob") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad delay_prob");
-    faults.delay_probability = d;
-    return true;
-  }
-  if (key == "delay_ms") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad delay_ms");
-    faults.delay_ns = static_cast<std::int64_t>(d * 1e6);
-    return true;
-  }
-  if (key == "blackout_start_s") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad blackout_start_s");
-    faults.blackout_start_s = d;
-    return true;
-  }
-  if (key == "blackout_duration_s") {
-    if (!parse_double(value, &d)) {
-      return fail(error, line, "bad blackout_duration_s");
-    }
-    faults.blackout_duration_s = d;
-    return true;
-  }
-  if (key == "blackout_every_s") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad blackout_every_s");
-    faults.blackout_every_s = d;
-    return true;
-  }
-  if (key == "reliable") {
-    if (!parse_bool(value, &b)) return fail(error, line, "bad reliable");
-    deployment.reliability.enabled = b;
-    return true;
-  }
-  if (key == "retransmit_timeout_ms") {
-    if (!parse_double(value, &d)) {
-      return fail(error, line, "bad retransmit_timeout_ms");
-    }
-    deployment.reliability.rto_ms = d;
-    return true;
-  }
-  if (key == "retransmit_backoff") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad retransmit_backoff");
-    deployment.reliability.backoff = d;
-    return true;
-  }
-  if (key == "retransmit_max_ms") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad retransmit_max_ms");
-    deployment.reliability.max_rto_ms = d;
-    return true;
-  }
-  if (key == "retransmit_max_retries") {
-    if (!parse_u64(value, &u)) {
-      return fail(error, line, "bad retransmit_max_retries");
-    }
-    deployment.reliability.max_retries = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "supervision") {
-    if (!parse_bool(value, &b)) return fail(error, line, "bad supervision");
-    deployment.supervision.enabled = b;
-    return true;
-  }
-  if (key == "heartbeat_every_s") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad heartbeat_every_s");
-    deployment.supervision.heartbeat_every_s = d;
-    return true;
-  }
-  if (key == "heartbeat_timeout_s") {
-    if (!parse_double(value, &d)) {
-      return fail(error, line, "bad heartbeat_timeout_s");
-    }
-    deployment.supervision.heartbeat_timeout_s = d;
-    return true;
-  }
-  if (key == "max_worker_restarts") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad max_worker_restarts");
-    deployment.supervision.max_restarts_per_worker = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "suspect_grace_s") {
-    if (!parse_double(value, &d) || d < 0.0) {
-      return fail(error, line, "bad suspect_grace_s (want >= 0)");
-    }
-    deployment.supervision.suspect_grace_s = d;
-    return true;
-  }
-  if (key == "respawn_min_interval_s") {
-    if (!parse_double(value, &d) || d < 0.0) {
-      return fail(error, line, "bad respawn_min_interval_s (want >= 0)");
-    }
-    deployment.supervision.respawn_min_interval_s = d;
-    return true;
-  }
-  if (key == "checkpoint") {
-    deployment.checkpoint_path = value;
-    return true;
-  }
-  if (key == "checkpoint_every_versions") {
-    if (!parse_u64(value, &u)) {
-      return fail(error, line, "bad checkpoint_every_versions");
-    }
-    deployment.checkpoint_every_versions = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  return fail(error, line, "unknown [faults] key '" + key + "'");
-}
-
-bool apply_comm_key(LaunchConfig& config, const std::string& key,
-                    const std::string& value, int line, std::string* error) {
-  DeploymentConfig& deployment = config.deployment;
-  CoalesceConfig& coalesce = deployment.coalesce;
-  OverloadConfig& overload = deployment.overload;
-  double d = 0.0;
-  std::uint64_t u = 0;
-  bool b = false;
-  if (key == "router_shards") {
-    if (!parse_u64(value, &u) || u == 0 || u > 64) {
-      return fail(error, line, "bad router_shards (want 1..64)");
-    }
-    deployment.broker.router_shards = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "coalescing") {
-    if (!parse_bool(value, &b)) return fail(error, line, "bad coalescing");
-    coalesce.enabled = b;
-    return true;
-  }
-  if (key == "coalesce_max_bytes") {
-    if (!parse_u64(value, &u) || u == 0) {
-      return fail(error, line, "bad coalesce_max_bytes");
-    }
-    coalesce.max_subframe_bytes = u;
-    return true;
-  }
-  if (key == "coalesce_flush_bytes") {
-    if (!parse_u64(value, &u) || u == 0) {
-      return fail(error, line, "bad coalesce_flush_bytes");
-    }
-    coalesce.flush_bytes = u;
-    return true;
-  }
-  if (key == "coalesce_max_subframes") {
-    if (!parse_u64(value, &u) || u == 0) {
-      return fail(error, line, "bad coalesce_max_subframes");
-    }
-    coalesce.max_subframes = u;
-    return true;
-  }
-  if (key == "coalesce_flush_us") {
-    if (!parse_u64(value, &u) || u == 0) {
-      return fail(error, line, "bad coalesce_flush_us");
-    }
-    coalesce.flush_us = static_cast<std::int64_t>(u);
-    return true;
-  }
-  // Overload policy. Out-of-range values are rejected here with the exact
-  // bound in the message — never silently clamped, a clamped watermark is a
-  // config the operator did not write.
-  if (key == "overload_high_watermark") {
-    if (!parse_u64(value, &u) || u > 100'000'000) {
-      return fail(error, line,
-                  "bad overload_high_watermark (want 0..100000000; 0 disables"
-                  " bounding)");
-    }
-    overload.high_watermark = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (key == "overload_low_watermark") {
-    if (!parse_u64(value, &u) || u > 100'000'000) {
-      return fail(error, line,
-                  "bad overload_low_watermark (want 0..100000000; 0 means"
-                  " high/2)");
-    }
-    overload.low_watermark = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (key == "shed_policy") {
-    if (value == "oldest") {
-      overload.shed_policy = ShedPolicy::kOldest;
-    } else if (value == "newest") {
-      overload.shed_policy = ShedPolicy::kNewest;
-    } else {
-      return fail(error, line,
-                  "bad shed_policy '" + value + "' (want oldest or newest)");
-    }
-    return true;
-  }
-  if (key == "weights_block_ms") {
-    if (!parse_double(value, &d) || d < 0.0 || d > 60'000.0) {
-      return fail(error, line, "bad weights_block_ms (want 0..60000)");
-    }
-    overload.weights_block_ms = d;
-    return true;
-  }
-  if (key == "breaker_failures") {
-    if (!parse_u64(value, &u) || u > 1024) {
-      return fail(error, line,
-                  "bad breaker_failures (want 0..1024; 0 disables the"
-                  " breaker)");
-    }
-    overload.breaker_failures = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "breaker_probe_ms") {
-    if (!parse_double(value, &d) || d <= 0.0 || d > 60'000.0) {
-      return fail(error, line, "bad breaker_probe_ms (want >0 and <=60000)");
-    }
-    overload.breaker_probe_ms = d;
-    return true;
-  }
-  return fail(error, line, "unknown [comm] key '" + key + "'");
-}
-
-bool apply_profile_key(LaunchConfig& config, const std::string& key,
-                       const std::string& value, int line, std::string* error) {
-  ProfileConfig& profile = config.deployment.profile;
-  double d = 0.0;
-  bool b = false;
-  if (key == "enabled") {
-    if (!parse_bool(value, &b)) return fail(error, line, "bad enabled");
-    profile.enabled = b;
-    return true;
-  }
-  if (key == "hz") {
-    if (!parse_double(value, &d) || d <= 0.0) return fail(error, line, "bad hz");
-    profile.hz = d;
-    return true;
-  }
-  if (key == "saturation_hz") {
-    if (!parse_double(value, &d) || d <= 0.0) {
-      return fail(error, line, "bad saturation_hz");
-    }
-    profile.saturation_hz = d;
-    return true;
-  }
-  if (key == "profile_json") {
-    profile.profile_json_path = value;
-    return true;
-  }
-  return fail(error, line, "unknown [profile] key '" + key + "'");
-}
-
-bool apply_codec_key(LaunchConfig& config, const std::string& key,
-                     const std::string& value, int line, std::string* error) {
-  WeightSyncConfig& codec = config.deployment.weight_sync;
-  std::uint64_t u = 0;
-  double d = 0.0;
-  if (key == "weights") {
-    const auto parsed = parse_weight_codec(value);
-    if (!parsed) {
-      return fail(error, line,
-                  "bad weights codec '" + value +
-                      "' (want fp32, fp16, bf16, int8, delta, or topk)");
-    }
-    codec.codec = *parsed;
-    return true;
-  }
-  if (key == "topk_fraction") {
-    if (!parse_double(value, &d) || d <= 0.0 || d > 0.5) {
-      return fail(error, line, "bad topk_fraction (want >0 and <=0.5)");
-    }
-    codec.topk_fraction = d;
-    return true;
-  }
-  if (key == "keyframe_every") {
-    if (!parse_u64(value, &u) || u == 0 || u > 100'000) {
-      return fail(error, line, "bad keyframe_every (want 1..100000)");
-    }
-    codec.keyframe_every = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "lazy_threshold") {
-    if (!parse_double(value, &d) || d < 0.0 || d >= 1.0) {
-      return fail(error, line,
-                  "bad lazy_threshold (want 0..1 exclusive of 1; 0 disables"
-                  " lazy broadcast)");
-    }
-    codec.lazy_threshold = d;
-    return true;
-  }
-  if (key == "max_staleness") {
-    if (!parse_u64(value, &u) || u == 0 || u > 100'000) {
-      return fail(error, line, "bad max_staleness (want 1..100000)");
-    }
-    codec.max_staleness = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  return fail(error, line, "unknown [codec] key '" + key + "'");
-}
-
-bool apply_compute_key(LaunchConfig& config, const std::string& key,
-                       const std::string& value, int line, std::string* error) {
-  if (key == "threads") {
-    if (value == "auto") {
-      config.deployment.compute_threads = -1;
-      return true;
-    }
-    char* end = nullptr;
-    const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || parsed < -1 || parsed > 4096) {
-      return fail(error, line, "bad threads (want auto, -1, 0, or a count)");
-    }
-    config.deployment.compute_threads = static_cast<int>(parsed);
-    return true;
-  }
-  return fail(error, line, "unknown [compute] key '" + key + "'");
-}
-
 }  // namespace
+
+std::vector<ConfigKeyDoc> launch_config_keys() {
+  std::vector<ConfigKeyDoc> keys;
+  for (const Key& key : key_table()) {
+    keys.push_back({key.section, key.name, key.doc});
+  }
+  return keys;
+}
 
 std::optional<LaunchConfig> parse_launch_config(const std::string& contents,
                                                 std::string* error) {
@@ -607,9 +547,7 @@ std::optional<LaunchConfig> parse_launch_config(const std::string& contents,
         return std::nullopt;
       }
       section = text.substr(1, text.size() - 2);
-      if (section != "algorithm" && section != "deployment" &&
-          section != "faults" && section != "compute" &&
-          section != "profile" && section != "comm" && section != "codec") {
+      if (!known_section(section)) {
         fail(error, line, "unknown section [" + section + "]");
         return std::nullopt;
       }
@@ -621,50 +559,30 @@ std::optional<LaunchConfig> parse_launch_config(const std::string& contents,
       fail(error, line, "expected 'key = value'");
       return std::nullopt;
     }
-    const std::string key = trim(text.substr(0, eq));
+    const std::string name = trim(text.substr(0, eq));
     const std::string value = trim(text.substr(eq + 1));
     if (section.empty()) {
       fail(error, line, "key outside any section");
       return std::nullopt;
     }
-    bool ok = false;
-    if (section == "algorithm") {
-      ok = apply_algorithm_key(config, key, value, line, error);
-    } else if (section == "deployment") {
-      ok = apply_deployment_key(config, key, value, line, error);
-    } else if (section == "compute") {
-      ok = apply_compute_key(config, key, value, line, error);
-    } else if (section == "profile") {
-      ok = apply_profile_key(config, key, value, line, error);
-    } else if (section == "comm") {
-      ok = apply_comm_key(config, key, value, line, error);
-    } else if (section == "codec") {
-      ok = apply_codec_key(config, key, value, line, error);
-    } else {
-      ok = apply_faults_key(config, key, value, line, error);
+    const Key* key = find_key(section, name);
+    if (key == nullptr) {
+      fail(error, line, "unknown [" + section + "] key '" + name + "'");
+      return std::nullopt;
     }
-    if (!ok) return std::nullopt;
+    Value parsed;
+    if (!parse_value(*key, value, &parsed)) {
+      fail(error, line, bad_value_message(*key, value));
+      return std::nullopt;
+    }
+    key->set(config, parsed);
   }
 
-  // Cross-field validation of the overload watermarks, after every key is in
-  // (so key order in the file does not matter): a low watermark without a
-  // high one gates nothing, and the hysteresis band needs low < high.
-  const OverloadConfig& overload = config.deployment.overload;
-  if (overload.low_watermark > 0 && overload.high_watermark == 0) {
-    if (error != nullptr) {
-      *error = "[comm] overload_low_watermark requires overload_high_watermark";
-    }
+  const std::string inconsistent = cross_check(config.deployment);
+  if (!inconsistent.empty()) {
+    if (error != nullptr) *error = inconsistent;
     return std::nullopt;
   }
-  if (overload.low_watermark > 0 &&
-      overload.low_watermark >= overload.high_watermark) {
-    if (error != nullptr) {
-      *error =
-          "[comm] overload_low_watermark must be below overload_high_watermark";
-    }
-    return std::nullopt;
-  }
-
   // PPO's learner must know the explorer count; keep them consistent.
   config.setup.ppo.n_explorers =
       static_cast<std::size_t>(config.deployment.total_explorers());

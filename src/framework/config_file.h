@@ -1,8 +1,8 @@
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "algo/factory.h"
 #include "framework/deployment.h"
@@ -14,24 +14,44 @@ namespace xt {
 /// (paper Section 3.2.2 / 4.2). This is the C++ analogue: a small
 /// `key = value` format with `[section]` headers and `#` comments.
 ///
+/// The block below is the key reference: a test holds its keys equal to the
+/// parser's key table (launch_config_keys). Every value is range-checked; a
+/// bad one fails with `line N: bad <key> (want ...)`.
+///
 /// ```ini
 /// [algorithm]
 /// kind = impala            # impala | dqn | ppo | a2c
 /// env = SynthBreakout
 /// seed = 7
-/// lr = 6e-4
-/// hidden = 64,64
-/// fragment_len = 500
+/// lr = 6e-4                       # > 0
+/// gamma = 0.99                    # 0..1
+/// hidden = 64,64                  # widths >= 1
+/// fragment_len = 500              # env steps per rollout message
+/// frame_bytes_per_step = 0        # extra observation bytes per step
+/// entropy_coef = 0.01             # PPO, IMPALA
+/// replay_capacity = 50000         # DQN
+/// train_start = 1000              # DQN
+/// batch_size = 32                 # DQN
+/// double_dqn = off                # DQN
+/// prioritized_replay = off        # DQN
+/// epochs = 4                      # PPO
+/// clip = 0.2                      # PPO, > 0
 ///
 /// [deployment]
-/// explorers_per_machine = 16,16   # two machines
-/// learner_machine = 0
+/// explorers_per_machine = 16,16   # two machines; total >= 1
+/// learner_machine = 0             # below the machine count
 /// max_steps = 1000000
 /// max_seconds = 3600
 /// target_return = 0
-/// nic_bandwidth_mbps = 118.04
+/// target_return_window = 20       # episodes averaged for the return goal
+/// nic_bandwidth_mbps = 118.04     # > 0
+/// ipc_bandwidth_mbps = 0          # same-machine pacing (0 = unpaced)
 /// compression = on
+/// compression_threshold_kb = 1024 # compress bodies at least this large
+/// explorer_send_capacity = 0      # explorer send buffer (0 = unbounded)
+/// stats_csv = stats.csv           # every statistics record, as CSV
 /// tracing = on                    # record message-lifecycle spans
+/// trace_capacity = 65536          # span ring size
 /// chrome_trace = run_trace.json   # written at end of run
 /// prometheus_dump = run.prom      # final metrics in Prometheus text format
 /// stats_line_every_s = 5          # periodic INFO stats line
@@ -95,6 +115,16 @@ struct LaunchConfig {
   AlgoSetup setup;
   DeploymentConfig deployment;
 };
+
+/// One accepted key, as the parser's key table defines it.
+struct ConfigKeyDoc {
+  std::string section;
+  std::string key;
+  std::string doc;  ///< one-line meaning
+};
+
+/// Every key parse_launch_config accepts, in table order.
+[[nodiscard]] std::vector<ConfigKeyDoc> launch_config_keys();
 
 /// Parse a configuration from file contents. On failure returns nullopt and
 /// (if non-null) fills `error` with a line-tagged message. Unknown keys are

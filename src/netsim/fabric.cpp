@@ -144,17 +144,7 @@ void Fabric::connect_one_way(Broker& from, Broker& to, const LinkConfig& link,
       raw->send_faultable(
           wire,
           [target, shared](const FaultOutcome& outcome) {
-            const std::optional<std::vector<WireSubFrame>> subframes =
-                decode_wire_frame(apply_corruption(*shared, outcome));
-            if (!subframes.has_value()) {
-              // The whole frame failed its chained CRC: every sub-frame it
-              // carried is rejected exactly once.
-              target->reject_corrupt_frame(shared->subframes());
-              return;
-            }
-            for (const WireSubFrame& sub : *subframes) {
-              target->deliver_remote(sub.header, sub.body);
-            }
+            target->deliver_frame(apply_corruption(*shared, outcome));
           },
           trace_id, cls);
     };

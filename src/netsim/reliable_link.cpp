@@ -193,20 +193,11 @@ void ReliableChannel::deliver(std::uint64_t seq, const WireFrame& frame,
       return;
     }
   }
-  const std::optional<std::vector<WireSubFrame>> subframes =
-      decode_wire_frame(apply_corruption(frame, outcome));
-  if (!subframes.has_value()) {
-    // The whole frame failed its chained CRC: every sub-frame is rejected
-    // together, and the withheld ack makes one retransmit repair them all.
-    receiver_.reject_corrupt_frame(frame.subframes());
-    return;
-  }
-  for (const WireSubFrame& sub : *subframes) {
-    // Integrity was already enforced frame-wide; routing drops inside
-    // deliver_remote (no local dest, closed queue) are not repairable by a
-    // retransmit, so they never withhold the frame's ack.
-    receiver_.deliver_remote(sub.header, sub.body);
-  }
+  // A frame that fails its chained CRC is rejected whole, and the withheld
+  // ack makes one retransmit repair every sub-frame. Routing drops (no local
+  // dest, closed queue) are not repairable by a retransmit, so they never
+  // withhold the ack.
+  if (!receiver_.deliver_frame(apply_corruption(frame, outcome))) return;
   std::vector<std::uint64_t> flush;
   {
     std::scoped_lock lock(recv_mu_);

@@ -132,7 +132,6 @@ std::optional<std::vector<WireSubFrame>> decode_wire_frame(
     header.tag = *tag;
     header.codec_id = *codec_id;
     header.base_tag = *base_tag;
-    header.link_seq = frame.link_seq;
     sub.body = frame.bodies[i];
     const std::size_t actual = sub.body ? sub.body->size() : 0;
     if (actual != *body_size) return std::nullopt;

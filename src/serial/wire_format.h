@@ -52,10 +52,8 @@ struct WireFrame {
 };
 
 /// Serialize sub-frame headers into a control segment and adopt the bodies
-/// as shared segments (no body bytes are copied). Per-message integrity
-/// fields (body_crc / crc_present / link_seq) are not encoded — with the
-/// frame-level CRC they would be redundant wire bytes. With `with_crc` the
-/// frame is stamped with the chained CRC over all segments.
+/// as shared segments (no body bytes are copied). With `with_crc` the frame
+/// is stamped with the chained CRC over all segments.
 [[nodiscard]] WireFrame encode_wire_frame(std::vector<WireSubFrame> subframes,
                                           bool with_crc);
 
@@ -67,9 +65,8 @@ struct WireFrame {
 /// Parse a frame back into sub-frames. Returns nullopt when the frame fails
 /// its CRC (if present) or the control segment is malformed / inconsistent
 /// with the body segments — the caller must reject every sub-frame, exactly
-/// like a corrupted single-message frame. Decoded headers carry
-/// crc_present = false (integrity was already enforced frame-wide) and the
-/// frame's link_seq; bodies are the frame's shared segments (zero copy).
+/// like a corrupted single-message frame. Bodies are the frame's shared
+/// segments (zero copy).
 [[nodiscard]] std::optional<std::vector<WireSubFrame>> decode_wire_frame(
     const WireFrame& frame);
 

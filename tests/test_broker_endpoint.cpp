@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/crc32.h"
+#include "serial/wire_format.h"
 
 #include <thread>
 
@@ -132,17 +132,21 @@ TEST(BrokerEndpoint, DeliverRemoteRejectsCrcMismatch) {
   header.dsts = {receiver.id()};
   header.type = MsgType::kDummy;
   header.body_size = body.size();
-  header.crc_present = true;
-  header.body_crc = crc32(body) ^ 0xDEADBEEF;  // simulated wire corruption
+  const WireFrame frame = encode_wire_frame(
+      {WireSubFrame{header, make_payload(Bytes(body))}}, /*with_crc=*/true);
 
-  EXPECT_FALSE(broker.deliver_remote(header, make_payload(Bytes(body))));
+  // Simulated wire corruption: one body byte flipped after the CRC stamp.
+  WireFrame corrupted = frame;
+  Bytes flipped = body;
+  flipped[3] ^= 0x5A;
+  corrupted.bodies[0] = make_payload(std::move(flipped));
+  EXPECT_FALSE(broker.deliver_frame(corrupted));
   EXPECT_EQ(broker.corrupted_frames(), 1u);
   EXPECT_EQ(broker.dropped_messages(DropReason::kCrcFail), 1u);
   EXPECT_FALSE(receiver.try_receive().has_value());
 
-  // The same frame with the right CRC sails through.
-  header.body_crc = crc32(body);
-  EXPECT_TRUE(broker.deliver_remote(header, make_payload(Bytes(body))));
+  // The same frame, intact, sails through.
+  EXPECT_TRUE(broker.deliver_frame(frame));
   const auto msg = receiver.receive_for(std::chrono::seconds(5));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(*msg->body, body);
@@ -151,7 +155,7 @@ TEST(BrokerEndpoint, DeliverRemoteRejectsCrcMismatch) {
 
 TEST(BrokerEndpoint, DeliverRemoteWithoutLocalDestinationStillAcks) {
   // A routing miss is not an integrity failure: retransmitting cannot help,
-  // so deliver_remote reports success and counts the drop separately.
+  // so deliver_frame reports success and counts the drop separately.
   Broker broker(0);
   MessageHeader header;
   header.msg_id = next_message_id();
@@ -159,7 +163,8 @@ TEST(BrokerEndpoint, DeliverRemoteWithoutLocalDestinationStillAcks) {
   header.dsts = {learner_id(2)};  // nothing on machine 0
   header.type = MsgType::kDummy;
   header.body_size = 4;
-  EXPECT_TRUE(broker.deliver_remote(header, bytes_payload(4, 9)));
+  EXPECT_TRUE(broker.deliver_frame(encode_wire_frame(
+      {WireSubFrame{header, bytes_payload(4, 9)}}, /*with_crc=*/true)));
   EXPECT_EQ(broker.dropped_messages(DropReason::kNoLocalDest), 1u);
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <set>
 
 namespace xt {
 namespace {
@@ -494,6 +497,187 @@ TEST(ConfigFile, CommSectionRejectsBadValues) {
   EXPECT_FALSE(
       parse_launch_config("[comm]\nbogus = 1\n", &error).has_value());
   EXPECT_NE(error.find("[comm]"), std::string::npos);
+}
+
+// Rejects `line` as the only line of `section` with a line-tagged message
+// that names `key`.
+void expect_rejected(const std::string& section, const std::string& line,
+                     const std::string& key) {
+  std::string error;
+  EXPECT_FALSE(parse_launch_config("[" + section + "]\n" + line + "\n", &error))
+      << line;
+  EXPECT_NE(error.find("line 2: bad " + key), std::string::npos)
+      << line << " -> " << error;
+}
+
+void expect_accepted(const std::string& section, const std::string& line) {
+  std::string error;
+  EXPECT_TRUE(parse_launch_config("[" + section + "]\n" + line + "\n", &error))
+      << line << " -> " << error;
+}
+
+TEST(ConfigFile, RejectsHostileValuesByName) {
+  // Each of these used to parse: wrapped, truncated, NaN, or a zero that a
+  // later division or allocation trips over.
+  expect_rejected("algorithm", "replay_capacity = -1", "replay_capacity");
+  expect_rejected("algorithm", "gamma = nan", "gamma");
+  expect_rejected("algorithm", "lr = -5", "lr");
+  expect_rejected("algorithm", "batch_size = 0", "batch_size");
+  expect_rejected("deployment", "explorers_per_machine = -1",
+                  "explorers_per_machine");
+  expect_rejected("deployment", "nic_bandwidth_mbps = 0", "nic_bandwidth_mbps");
+  expect_rejected("deployment", "learner_machine = 70000", "learner_machine");
+  expect_rejected("algorithm", "epochs = 4294967297", "epochs");
+  expect_rejected("faults", "drop_prob = 1.5", "drop_prob");
+  expect_rejected("profile", "hz = nan", "hz");
+  expect_rejected("codec", "topk_fraction = nan", "topk_fraction");
+}
+
+TEST(ConfigFile, BoundPolicyHoldsOnBothSidesOfEachBound) {
+  // Unsigned keys: no sign, nothing above the destination type's maximum.
+  expect_rejected("algorithm", "seed = -1", "seed");
+  expect_rejected("algorithm", "seed = 18446744073709551616", "seed");
+  expect_accepted("algorithm", "seed = 18446744073709551615");
+  expect_rejected("deployment", "learner_machine = 65536", "learner_machine");
+  expect_rejected("faults", "retransmit_max_retries = 4294967296",
+                  "retransmit_max_retries");
+  expect_accepted("faults", "retransmit_max_retries = 4294967295");
+  expect_rejected("faults", "max_worker_restarts = -3", "max_worker_restarts");
+  expect_rejected("algorithm", "epochs = 2147483648", "epochs");
+  expect_accepted("algorithm", "epochs = 2147483647");
+  expect_rejected("deployment", "target_return_window = 0", "target_return_window");
+  expect_rejected("comm", "coalesce_flush_us = 9223372036854775808",
+                  "coalesce_flush_us");
+  expect_rejected("algorithm", "hidden = 64,-1", "hidden");
+  // Double keys: finite only.
+  expect_rejected("deployment", "target_return = inf", "target_return");
+  expect_rejected("deployment", "max_seconds = nan", "max_seconds");
+  expect_rejected("faults", "heartbeat_timeout_s = 1e999", "heartbeat_timeout_s");
+  expect_rejected("algorithm", "lr = 1e39", "lr");  // overflows the float field
+  // Probabilities and gamma lie in [0, 1].
+  for (const char* key : {"drop_prob", "corrupt_prob", "delay_prob"}) {
+    expect_rejected("faults", std::string(key) + " = -0.01", key);
+    expect_rejected("faults", std::string(key) + " = 1.01", key);
+    expect_accepted("faults", std::string(key) + " = 1");
+  }
+  expect_rejected("algorithm", "gamma = 1.01", "gamma");
+  expect_accepted("algorithm", "gamma = 1");
+  expect_accepted("algorithm", "gamma = 0");
+  // Rates, bandwidths and timeouts are > 0 unless 0 already means something.
+  expect_rejected("algorithm", "lr = 0", "lr");
+  expect_rejected("algorithm", "clip = 0", "clip");
+  expect_rejected("faults", "retransmit_timeout_ms = 0", "retransmit_timeout_ms");
+  expect_rejected("faults", "retransmit_max_ms = 0", "retransmit_max_ms");
+  expect_rejected("faults", "heartbeat_every_s = 0", "heartbeat_every_s");
+  expect_rejected("faults", "heartbeat_timeout_s = 0", "heartbeat_timeout_s");
+  expect_rejected("faults", "delay_ms = -1", "delay_ms");
+  expect_rejected("faults", "blackout_duration_s = -1", "blackout_duration_s");
+  expect_accepted("deployment", "ipc_bandwidth_mbps = 0");  // unpaced
+  expect_accepted("deployment", "max_seconds = 0");         // no limit
+  expect_accepted("deployment", "max_steps = 0");           // no limit
+  expect_accepted("deployment", "stats_line_every_s = 0");  // no stats line
+  expect_accepted("deployment", "explorer_send_capacity = 0");  // unbounded
+  // Counts that mean nothing at 0 start at 1.
+  expect_rejected("algorithm", "epochs = 0", "epochs");
+  expect_rejected("algorithm", "fragment_len = 0", "fragment_len");
+  expect_rejected("algorithm", "replay_capacity = 0", "replay_capacity");
+  expect_rejected("algorithm", "hidden = 64,0", "hidden");
+  expect_accepted("algorithm", "train_start = 0");
+  // Backoff never shrinks the timeout.
+  expect_rejected("faults", "retransmit_backoff = 0.5", "retransmit_backoff");
+  expect_accepted("faults", "retransmit_backoff = 1");
+}
+
+TEST(ConfigFile, CrossFieldChecksNameTheirKeys) {
+  std::string error;
+  EXPECT_FALSE(parse_launch_config(
+      "[deployment]\nlearner_machine = 3\nexplorers_per_machine = 1,1\n", &error));
+  EXPECT_NE(error.find("learner_machine 3"), std::string::npos) << error;
+  // Key order does not matter: the machine count may come after the learner.
+  EXPECT_TRUE(parse_launch_config(
+      "[deployment]\nlearner_machine = 1\nexplorers_per_machine = 0,4\n"));
+  EXPECT_FALSE(
+      parse_launch_config("[deployment]\nexplorers_per_machine = 0,0\n", &error));
+  EXPECT_NE(error.find("explorers_per_machine must total"), std::string::npos)
+      << error;
+  // Machine and explorer ids are 16 bits wide, and the explorer total is an
+  // int: lists past either limit are rejected, not wrapped.
+  std::string machines = "1";
+  for (int m = 0; m < 65536; ++m) machines += ",0";
+  EXPECT_FALSE(parse_launch_config("[deployment]\nexplorers_per_machine = " + machines,
+                                   &error));
+  EXPECT_NE(error.find("more than 65536 machines"), std::string::npos) << error;
+  EXPECT_TRUE(parse_launch_config("[deployment]\nexplorers_per_machine = " +
+                                  machines.substr(0, machines.size() - 2)));
+  std::string crowded = "65536";
+  for (int m = 1; m < 32769; ++m) crowded += ",65536";  // 2^31 explorers
+  EXPECT_FALSE(parse_launch_config("[deployment]\nexplorers_per_machine = " + crowded,
+                                   &error));
+  EXPECT_NE(error.find("explorers_per_machine must total"), std::string::npos)
+      << error;
+}
+
+TEST(ConfigFile, EveryCheckedInConfigParses) {
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(XT_CONFIG_DIR)) {
+    if (entry.path().extension() != ".conf") continue;
+    ++files;
+    std::string error;
+    EXPECT_TRUE(load_launch_config(entry.path().string(), &error).has_value())
+        << entry.path() << ": " << error;
+  }
+  EXPECT_GT(files, 0);
+}
+
+std::string trimmed(const std::string& s) {
+  const auto begin = s.find_first_not_of(" \t");
+  if (begin == std::string::npos) return "";
+  return s.substr(begin, s.find_last_not_of(" \t") - begin + 1);
+}
+
+// (section, key) of every `key = value` line in config_file.h's ini block.
+std::set<std::pair<std::string, std::string>> reference_keys() {
+  std::set<std::pair<std::string, std::string>> keys;
+  std::ifstream header(XT_CONFIG_HEADER);
+  std::string line;
+  std::string section;
+  bool inside = false;
+  while (std::getline(header, line)) {
+    if (line.find("```") != std::string::npos) {
+      if (inside) break;
+      inside = line.find("```ini") != std::string::npos;
+      continue;
+    }
+    if (!inside) continue;
+    const auto slashes = line.find("///");
+    std::string text = line.substr(slashes == std::string::npos ? 0 : slashes + 3);
+    text = trimmed(text.substr(0, text.find('#')));
+    if (text.empty()) continue;
+    if (text.front() == '[') {
+      section = text.substr(1, text.find(']') - 1);
+    } else {
+      keys.insert({section, trimmed(text.substr(0, text.find('=')))});
+    }
+  }
+  return keys;
+}
+
+TEST(ConfigFile, KeyReferenceMatchesTheKeyTable) {
+  const auto documented = reference_keys();
+  ASSERT_FALSE(documented.empty()) << "no ```ini block in " << XT_CONFIG_HEADER;
+  std::set<std::pair<std::string, std::string>> table;
+  for (const ConfigKeyDoc& row : launch_config_keys()) {
+    EXPECT_TRUE(table.insert({row.section, row.key}).second)
+        << "duplicate row [" << row.section << "] " << row.key;
+    EXPECT_FALSE(row.doc.empty()) << row.key;
+    EXPECT_TRUE(documented.count({row.section, row.key}))
+        << "[" << row.section << "] " << row.key << " missing from config_file.h";
+  }
+  for (const auto& [section, key] : documented) {
+    EXPECT_TRUE(table.count({section, key}))
+        << "config_file.h documents [" << section << "] " << key
+        << ", which the parser does not accept";
+  }
 }
 
 }  // namespace

@@ -190,8 +190,8 @@ TEST(TraceScope, RecordsOnceOnFinishAndDestruction) {
 TEST(MessageHeader, TracingAddsNoHeaderBytes) {
   // trace_id is aliased to msg_id: enabling the telemetry layer must not
   // grow the struct copied once per destination. (The budget covers the
-  // wire-protocol fields — body_crc/crc_present/link_seq and the weight
-  // codec_id/base_tag pair — which telemetry must not push past.)
+  // wire-protocol fields — the weight codec_id/base_tag pair — which
+  // telemetry must not push past.)
   EXPECT_LE(sizeof(MessageHeader), 120u);
   MessageHeader header;
   header.msg_id = 77;

@@ -200,8 +200,16 @@ TEST(ChaosRun, OverloadAndBlackoutShedExperienceWithoutFalseRespawns) {
   DeploymentConfig deployment;
   deployment.explorers_per_machine = {0, 2};  // all rollouts cross the wire
   deployment.learner_machine = 0;
-  deployment.max_steps_consumed = 1'500;
-  deployment.max_seconds = 45.0;
+  // Wall-clock-bounded, not step-bounded: the blackout keys off link uptime,
+  // and a fast host reaches any fixed step budget before the window opens
+  // (1,500 steps are ~69 KB, 0.14 s of this link). The run must hold the
+  // whole timeline: a worker silenced by the blackout sent its last beat at
+  // link uptime <= 0.3 s, so the earliest false respawn could come at
+  // 0.3 s + 0.5 s heartbeat timeout + 1.0 s suspect grace = 1.8 s. The links
+  // come up when the runtime is constructed, before run() starts its clock,
+  // so 2.0 s of run time is at least 2.0 s of link uptime on every host.
+  deployment.max_steps_consumed = 0;
+  deployment.max_seconds = 2.0;
 
   // A deliberately narrow pipe: two CartPole explorers produce far more
   // experience than 500 KB/s at 5k frames/s can carry.
@@ -234,7 +242,9 @@ TEST(ChaosRun, OverloadAndBlackoutShedExperienceWithoutFalseRespawns) {
   XingTianRuntime runtime(setup, deployment);
   const RunReport report = runtime.run();
 
-  // (a) The run completed: overload shed experience rather than deadlocking.
+  // (a) Overload shed experience rather than deadlocking: >= 1,500 steps in
+  // the bounded run show that shedding kept the run moving. The link is open
+  // for 2.0 - 0.8 = 1.2 s of the run, 8.7x the 0.14 s that 1,500 steps need.
   EXPECT_GE(report.steps_consumed, 1'500u);
   EXPECT_GT(report.messages_shed + report.frames_shed, 0u);
   // (b) Weights-class traffic still landed at the explorers.
